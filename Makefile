@@ -6,7 +6,7 @@ FUZZTIME ?= 30s
 # Coverage floor for the uncertainty-quantification estimators (DESIGN.md §12).
 UQ_COVER_MIN ?= 85
 
-.PHONY: all build test vet race race-runtime verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
+.PHONY: all build test vet fmt-check race race-runtime verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
 
 all: check
 
@@ -18,6 +18,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing every Go file gofmt would change (hidden directories such as
+# the benchmark's .bench_build/ cache are skipped).
+fmt-check:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.*/*')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Race-detector pass over the whole tree; exercises the checkerboard-parallel
 # solver and the experiment worker pool under -race.
@@ -84,7 +90,7 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-check: build vet test race verify
+check: build vet fmt-check test race verify
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -65,11 +65,11 @@ func upsampleField(f *Field, w, h int) *Field {
 	return out
 }
 
-// buildResidualProblem constructs the MRF for one pyramid level: labels are
+// BuildResidualProblem constructs the MRF for one pyramid level: labels are
 // residual motions in the (2R+1)^2 window around the upsampled base flow.
 // The smoothness prior acts on the residuals — the standard coarse-to-fine
 // approximation, since the base field is already smooth by construction.
-func buildResidualProblem(f0, f1 *img.Gray, base *Field, radius int, p Params) *mrf.Problem {
+func BuildResidualProblem(f0, f1 *img.Gray, base *Field, radius int, p Params) *mrf.Problem {
 	side := 2*radius + 1
 	return &mrf.Problem{
 		W: f0.W, H: f0.H, Labels: side * side,
@@ -141,7 +141,7 @@ func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSam
 		} else {
 			base = upsampleField(base, f0.W, f0.H)
 		}
-		prob := buildResidualProblem(f0, f1, base, radius, p)
+		prob := BuildResidualProblem(f0, f1, base, radius, p)
 		zero := img.NewLabels(f0.W, f0.H).Fill(synth.VectorToLabel(0, 0, radius))
 		var lab *img.Labels
 		var err error

@@ -101,29 +101,66 @@ func DefaultParams() Params {
 // BuildProblem constructs the MRF for a stereo pair. The singleton is the
 // truncated absolute intensity difference between the left pixel and its
 // disparity-shifted right pixel, aggregated over a 3x1 horizontal window to
-// stabilize matching.
+// stabilize matching. Window taps past a row end take the edge pixel
+// (img.Gray.AtClamped's rule); the right view must have at least the left
+// view's height, as every synthetic pair does.
 func BuildProblem(pair *synth.StereoPair, p Params) *mrf.Problem {
-	left, right := pair.Left, pair.Right
+	// The singleton runs once per (pixel, disparity) — tens of millions of
+	// calls on a large grid — so it reads the pixel slices and parameters
+	// from locals, and only a window that reaches past a row end pays for
+	// clamping (y always lies in the grid). The three terms are summed left
+	// to right, so every entry is bit-identical to evaluating the window
+	// with img.Gray.AtClamped on each tap.
+	lpix, lw := pair.Left.Pix, pair.Left.W
+	rpix, rw := pair.Right.Pix, pair.Right.W
+	occlusion, dataCap, dataWeight := p.OcclusionCost, p.DataCap, p.DataWeight
 	return &mrf.Problem{
-		W: left.W, H: left.H, Labels: pair.Labels,
+		W: lw, H: pair.Left.H, Labels: pair.Labels,
 		Singleton: func(x, y, d int) float64 {
-			if x-d < 0 {
-				return p.OcclusionCost
+			xr := x - d
+			if xr < 0 {
+				return occlusion
 			}
-			var cost float64
-			for dx := -1; dx <= 1; dx++ {
-				diff := math.Abs(left.AtClamped(x+dx, y) - right.AtClamped(x+dx-d, y))
-				if diff > p.DataCap {
-					diff = p.DataCap
-				}
-				cost += diff
+			lrow, rrow := y*lw, y*rw
+			if x > 0 && x+1 < lw && xr > 0 && xr+1 < rw {
+				l := lpix[lrow+x-1 : lrow+x+2]
+				r := rpix[rrow+xr-1 : rrow+xr+2]
+				return dataWeight * matchCost(dataCap, l[0], r[0], l[1], r[1], l[2], r[2]) / 3
 			}
-			return p.DataWeight * cost / 3
+			return dataWeight * matchCost(dataCap,
+				lpix[lrow+clampX(x-1, lw)], rpix[rrow+clampX(xr-1, rw)],
+				lpix[lrow+x], rpix[rrow+clampX(xr, rw)],
+				lpix[lrow+clampX(x+1, lw)], rpix[rrow+clampX(xr+1, rw)]) / 3
 		},
 		PairWeight:   p.SmoothWeight,
 		Dist:         mrf.Absolute,
 		TruncateDist: p.SmoothCap,
 	}
+}
+
+// matchCost is the window's matching cost: the absolute differences of the
+// three (left, right) taps, each truncated at dataCap, summed left to right.
+func matchCost(dataCap, l0, r0, l1, r1, l2, r2 float64) float64 {
+	return truncAbs(l0-r0, dataCap) + truncAbs(l1-r1, dataCap) + truncAbs(l2-r2, dataCap)
+}
+
+// truncAbs returns min(|v|, limit).
+func truncAbs(v, limit float64) float64 {
+	if v = math.Abs(v); v > limit {
+		return limit
+	}
+	return v
+}
+
+// clampX clamps a column index into [0, w).
+func clampX(x, w int) int {
+	if x < 0 {
+		return 0
+	}
+	if x >= w {
+		return w - 1
+	}
+	return x
 }
 
 // Result is one solved stereo instance with its quality scores.

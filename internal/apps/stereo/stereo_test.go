@@ -1,6 +1,7 @@
 package stereo
 
 import (
+	"math"
 	"testing"
 
 	"rsu/internal/core"
@@ -136,5 +137,46 @@ func TestSubregionBreakdownConsistent(t *testing.T) {
 	}
 	if s.OccludedFrac <= 0 || s.OccludedFrac >= 0.5 {
 		t.Fatalf("occluded fraction %v implausible", s.OccludedFrac)
+	}
+}
+
+// atClampedSingleton is the data term written with img.Gray.AtClamped on
+// every tap — the reference BuildProblem's closure must reproduce bit for
+// bit.
+func atClampedSingleton(pair *synth.StereoPair, p Params, x, y, d int) float64 {
+	if x-d < 0 {
+		return p.OcclusionCost
+	}
+	var cost float64
+	for dx := -1; dx <= 1; dx++ {
+		diff := math.Abs(pair.Left.AtClamped(x+dx, y) - pair.Right.AtClamped(x+dx-d, y))
+		if diff > p.DataCap {
+			diff = p.DataCap
+		}
+		cost += diff
+	}
+	return p.DataWeight * cost / 3
+}
+
+// TestSingletonMatchesAtClampedFormula checks the closure on every (x, y, d)
+// of a small pair — both row ends, the occluded d > x, and disparities whose
+// window reaches past column 0 of the right view — under the default
+// parameters and under a low cap and odd weight that make truncation common.
+func TestSingletonMatchesAtClampedFormula(t *testing.T) {
+	pair := smallPair()
+	low := DefaultParams()
+	low.DataCap, low.DataWeight, low.OcclusionCost = 7.5, 1.3, 41
+	for _, params := range []Params{DefaultParams(), low} {
+		prob := BuildProblem(pair, params)
+		for y := 0; y < prob.H; y++ {
+			for x := 0; x < prob.W; x++ {
+				for d := 0; d < prob.Labels; d++ {
+					got, want := prob.Singleton(x, y, d), atClampedSingleton(pair, params, x, y, d)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("cap %v: (%d,%d) d=%d: %v, AtClamped formula %v", params.DataCap, x, y, d, got, want)
+					}
+				}
+			}
+		}
 	}
 }

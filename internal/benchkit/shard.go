@@ -17,8 +17,10 @@ const ShardSchema = "rsu-bench-shard/v1"
 
 // shardSweepScale is the synthetic dataset scale of the sweep's stereo
 // problem. Scale 4 is 256x192 — 16x the area of the micro-suite's poster
-// scene, far past the auto-sharding threshold, with per-pixel label tables
-// that no longer fit the L2 slice of one core.
+// scene, with per-pixel label tables (11.8 MB) that no longer fit the L2
+// slice of one core. At 49,152 px it is still below mrf.AutoShardPixels
+// (2^18), so SolveAuto would not shard it on its own; the sweep passes each
+// geometry explicitly.
 const shardSweepScale = 4
 
 // shardSweepSweeps matches the micro-suite's stereo-full-app sweep count so
@@ -42,7 +44,9 @@ func shardSweepGeometries() []shard.Geometry {
 // at each geometry. Result.NsOpBefore is the shared monolithic baseline,
 // NsOpAfter the sharded time, so Speedup > 1 means the tiling won at that
 // geometry. workers selects the baseline's checkerboard worker count
-// (0 = GOMAXPROCS); the sharded arms use one goroutine per tile.
+// (0 = GOMAXPROCS); the sharded arms use one goroutine per tile. Every arm
+// gets the same prebuilt tables, but the sharded solver takes only their
+// Pair LUT, so its time includes building the tiles' data terms.
 func ShardSweep(workers int) Report {
 	w := mrf.ResolveWorkers(workers)
 	prob := stereo.BuildProblem(synth.Poster(shardSweepScale), stereo.DefaultParams())

@@ -16,10 +16,10 @@ import (
 // sweepRec is one OnSweep observation; exact float equality across runs is
 // the "byte-identical run logs" half of the resume guarantee.
 type sweepRec struct {
-	Sweep int
-	T     float64
+	Sweep  int
+	T      float64
 	Energy float64
-	Flips int
+	Flips  int
 }
 
 func recordInto(recs *[]sweepRec) func(int, *img.Labels, SolveStats) {

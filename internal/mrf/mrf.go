@@ -66,6 +66,9 @@ type Problem struct {
 	Labels int
 	// Singleton returns the data-term energy of label l at pixel (x, y).
 	// It is evaluated once per (pixel, label) and cached by the solver.
+	// It must be pure (the same arguments always give the same bits) and
+	// safe for concurrent calls: the sharded solver evaluates each tile's
+	// rectangle on its own goroutine.
 	Singleton func(x, y, l int) float64
 	// PairWeight scales the doubleton term.
 	PairWeight float64
@@ -110,12 +113,16 @@ func (p *Problem) pairDist(a, b int) float64 {
 	return d
 }
 
-// singletonTable caches the data term: index (y*W+x)*Labels + l.
-func (p *Problem) singletonTable() []float64 {
-	tab := make([]float64, p.W*p.H*p.Labels)
+// singletonTable evaluates the data term over the rectangle [x0,x1)×[y0,y1)
+// of the grid: index ((y-y0)*(x1-x0) + (x-x0))*Labels + l. The full-grid
+// table is the rectangle [0,W)×[0,H); the sharded solver builds one per
+// tile's extended rectangle, so every entry comes from the same Singleton
+// call whichever table it lands in.
+func (p *Problem) singletonTable(x0, y0, x1, y1 int) []float64 {
+	tab := make([]float64, (x1-x0)*(y1-y0)*p.Labels)
 	i := 0
-	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
 			for l := 0; l < p.Labels; l++ {
 				tab[i] = p.Singleton(x, y, l)
 				i++
@@ -171,7 +178,7 @@ func (p *Problem) BuildPairLUT() *PairLUT {
 
 // BuildTables precomputes the lookup tables for p.
 func (p *Problem) BuildTables() *Tables {
-	return &Tables{p: p, Singles: p.singletonTable(), Pair: p.BuildPairLUT().Pair}
+	return &Tables{p: p, Singles: p.singletonTable(0, 0, p.W, p.H), Pair: p.BuildPairLUT().Pair}
 }
 
 // BuildTablesShared builds the tables for p reusing a prebuilt pairwise LUT,
@@ -187,7 +194,7 @@ func (p *Problem) BuildTablesShared(lut *PairLUT) (*Tables, error) {
 	if lut.Labels != p.Labels || len(lut.Pair) != p.Labels*p.Labels {
 		return nil, fmt.Errorf("mrf: shared pair LUT built for %d labels, problem has %d", lut.Labels, p.Labels)
 	}
-	return &Tables{p: p, Singles: p.singletonTable(), Pair: lut.Pair}, nil
+	return &Tables{p: p, Singles: p.singletonTable(0, 0, p.W, p.H), Pair: lut.Pair}, nil
 }
 
 // pairRow returns the contiguous row of pairwise energies against neighbor
@@ -312,31 +319,24 @@ func (t *Tables) LabelEnergiesRow(dst []float64, lab *img.Labels, y int) {
 	t.LabelEnergiesSeg(dst, lab, y, 0, 1, t.p.W)
 }
 
-// TileView returns a Tables restricted to the sub-rectangle [x0,x1)×[y0,y1)
-// of the problem grid: the singleton rows are copied (re-based so the view's
-// pixel (x, y) is the problem's (x0+x, y0+y)) and the pairwise LUT is shared.
-// The view is a complete, standalone Tables over a (x1-x0)×(y1-y0) problem —
-// the sharded solver builds one per tile's extended rectangle so every fused
-// kernel (LabelEnergiesSeg, FlipDelta, TotalEnergy) runs unchanged on
-// tile-local label buffers. Note the view's own edges are treated as grid
-// edges by those kernels; the sharded solver only ever evaluates pixels whose
-// full 4-neighborhood lies inside the view (owned pixels of an extended
-// rect), where that distinction cannot be observed, except where a view edge
-// coincides with a real grid edge — in which case the edge behavior is
-// exactly the global one.
-func (t *Tables) TileView(x0, y0, x1, y1 int) (*Tables, error) {
-	p := t.p
-	if x0 < 0 || y0 < 0 || x1 > p.W || y1 > p.H || x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("mrf: tile view [%d,%d)x[%d,%d) invalid for %dx%d grid", x0, x1, y0, y1, p.W, p.H)
-	}
+// rectTables builds the Tables of the sub-rectangle [x0,x1)×[y0,y1) of the
+// grid: the data term is evaluated straight into a table re-based so the
+// result's pixel (x, y) is the problem's (x0+x, y0+y), and pair (a Pair LUT
+// of p) is shared. The result is a complete, standalone Tables over a
+// (x1-x0)×(y1-y0) problem — the sharded solver builds one per tile's
+// extended rectangle so every fused kernel (LabelEnergiesSeg, FlipDelta,
+// TotalEnergy) runs unchanged on tile-local label buffers. Note the
+// rectangle's own edges are treated as grid edges by those kernels; the
+// sharded solver only ever evaluates pixels whose full 4-neighborhood lies
+// inside the rectangle (owned pixels of an extended rect), where that
+// distinction cannot be observed, except where a rectangle edge coincides
+// with a real grid edge — in which case the edge behavior is exactly the
+// global one. The caller guarantees a non-empty rectangle inside the grid.
+func (p *Problem) rectTables(x0, y0, x1, y1 int, pair []float64) *Tables {
 	w, h := x1-x0, y1-y0
 	L := p.Labels
-	singles := make([]float64, w*h*L)
-	for y := 0; y < h; y++ {
-		src := ((y0+y)*p.W + x0) * L
-		copy(singles[y*w*L:(y+1)*w*L], t.Singles[src:src+w*L])
-	}
-	view := &Problem{
+	singles := p.singletonTable(x0, y0, x1, y1)
+	sub := &Problem{
 		W: w, H: h, Labels: L,
 		Singleton:    func(x, y, l int) float64 { return singles[(y*w+x)*L+l] },
 		PairWeight:   p.PairWeight,
@@ -344,7 +344,7 @@ func (t *Tables) TileView(x0, y0, x1, y1 int) (*Tables, error) {
 		PairDist:     p.PairDist,
 		TruncateDist: p.TruncateDist,
 	}
-	return &Tables{p: view, Singles: singles, Pair: t.Pair}, nil
+	return &Tables{p: sub, Singles: singles, Pair: pair}
 }
 
 // Labels returns the label count of the problem the tables were built from.
@@ -439,7 +439,10 @@ func (t *Tables) TotalEnergy(lab *img.Labels) float64 {
 }
 
 // TotalEnergy returns the full MRF energy of a labeling: the sum of all
-// singletons plus each doubleton counted once.
+// singletons plus each doubleton counted once. Each doubleton is the same
+// rounded product a Pair LUT entry holds (the explicit conversion forbids
+// fusing it into the sum), added in Tables.TotalEnergy's order, so the two
+// agree bit for bit.
 func (p *Problem) TotalEnergy(lab *img.Labels) float64 {
 	if lab.W != p.W || lab.H != p.H {
 		panic("mrf: labeling size mismatch")
@@ -450,10 +453,10 @@ func (p *Problem) TotalEnergy(lab *img.Labels) float64 {
 			l := lab.At(x, y)
 			e += p.Singleton(x, y, l)
 			if x+1 < p.W {
-				e += p.PairWeight * p.pairDist(l, lab.At(x+1, y))
+				e += float64(p.PairWeight * p.pairDist(l, lab.At(x+1, y)))
 			}
 			if y+1 < p.H {
-				e += p.PairWeight * p.pairDist(l, lab.At(x, y+1))
+				e += float64(p.PairWeight * p.pairDist(l, lab.At(x, y+1)))
 			}
 		}
 	}

@@ -239,7 +239,7 @@ func TestLabelEnergiesMatchesDefinition(t *testing.T) {
 	lab.Set(2, 1, 1)
 	lab.Set(1, 0, 2)
 	lab.Set(1, 2, 0)
-	singles := p.singletonTable()
+	singles := p.singletonTable(0, 0, p.W, p.H)
 	dst := make([]float64, 3)
 	p.LabelEnergies(dst, singles, lab, 1, 1)
 	// Energy of label l at (1,1): singleton l*2 + 1.5*(|l-2|+|l-1|+|l-2|+|l-0|).
@@ -253,7 +253,7 @@ func TestLabelEnergiesMatchesDefinition(t *testing.T) {
 
 func TestLabelEnergiesBorderPixels(t *testing.T) {
 	p := twoRegionProblem(3, 3)
-	singles := p.singletonTable()
+	singles := p.singletonTable(0, 0, p.W, p.H)
 	lab := img.NewLabels(3, 3)
 	dst := make([]float64, 2)
 	// Corner pixel has only 2 neighbors; with all-zero labels, the energy of

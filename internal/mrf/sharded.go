@@ -21,15 +21,17 @@ const AutoShardPixels = 1 << 18
 
 // shardTile is one tile's compute state: its label buffer (the extended
 // rectangle, wrapped as an img.Labels so the fused Tables kernels run
-// unchanged), its Tables view over that rectangle, its own sampler (the
+// unchanged), its own Tables over that rectangle, its own sampler (the
 // tile's RNG stream), and the tile-local linear indices of its owned cells
 // split by global checkerboard parity. Scratch buffers are per tile, so any
 // executor can run any tile without sharing state.
 type shardTile struct {
-	t       shard.Tile
-	grid    *shard.TileGrid
-	lab     *img.Labels // aliases grid.L over the extended rect
-	view    *Tables
+	t    shard.Tile
+	grid *shard.TileGrid
+	lab  *img.Labels // aliases grid.L over the extended rect
+	// tab is built by the pool's first stage (build), on the executor that
+	// runs the tile.
+	tab     *Tables
 	sampler core.BatchSampler
 	// cells[color] lists owned cells of global parity (gx+gy)%2 == color as
 	// tile-local linear indices, row-major — the same order the monolithic
@@ -41,13 +43,11 @@ type shardTile struct {
 	out      []int
 }
 
-func newShardTile(t shard.Tile, g *shard.TileGrid, view *Tables, sampler core.LabelSampler) *shardTile {
+func newShardTile(t shard.Tile, g *shard.TileGrid, L int, sampler core.LabelSampler) *shardTile {
 	ew, eh := t.EW(), t.EH()
-	L := view.Labels()
 	st := &shardTile{
 		t: t, grid: g,
 		lab:     &img.Labels{W: ew, H: eh, L: g.L},
-		view:    view,
 		sampler: core.AsBatch(sampler),
 	}
 	for color := 0; color < 2; color++ {
@@ -72,18 +72,32 @@ func newShardTile(t shard.Tile, g *shard.TileGrid, view *Tables, sampler core.La
 	return st
 }
 
+// build evaluates p's data term over the tile's extended rectangle into the
+// tile's own Tables, sharing the Pair LUT pair. A panicking Singleton comes
+// back as an error, as in compute.
+func (ts *shardTile) build(p *Problem, pair []float64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("mrf: tile %d panicked building its table: %v", ts.t.Index, r)
+		}
+	}()
+	t := ts.t
+	ts.tab = p.rectTables(t.EX0, t.EY0, t.EX1, t.EY1, pair)
+	return nil
+}
+
 // compute runs one color phase over the tile's owned cells, exactly like
 // solverPool.shard: maximal same-row stride-2 segments are gathered with one
-// LabelEnergiesSeg call on the tile view and drawn with one SampleBatch call.
-// Halo cells are read (they are the other color) but never written. Returns
-// the tile's flips and, when track, accumulates the energy delta.
+// LabelEnergiesSeg call on the tile's table and drawn with one SampleBatch
+// call. Halo cells are read (they are the other color) but never written.
+// Returns the tile's flips and, when track, accumulates the energy delta.
 func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("mrf: tile %d panicked: %v", ts.t.Index, r)
 		}
 	}()
-	L := ts.view.Labels()
+	L := ts.tab.Labels()
 	ew := ts.t.EW()
 	labs := ts.lab.L
 	cells := ts.cells[color]
@@ -100,7 +114,7 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 		for n < nmax && int(cells[i+n]) == c+2*n {
 			n++
 		}
-		ts.view.LabelEnergiesSeg(ts.energies[:n*L], ts.lab, ly, lx0, 2, n)
+		ts.tab.LabelEnergiesSeg(ts.energies[:n*L], ts.lab, ly, lx0, 2, n)
 		for j := 0; j < n; j++ {
 			ts.currents[j] = labs[c+2*j]
 		}
@@ -111,7 +125,7 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 		for j := 0; j < n; j++ {
 			if next := ts.out[j]; next != ts.currents[j] {
 				if track {
-					edelta += ts.view.FlipDelta(ts.lab, lx0+2*j, ly, ts.currents[j], next)
+					edelta += ts.tab.FlipDelta(ts.lab, lx0+2*j, ly, ts.currents[j], next)
 				}
 				labs[c+2*j] = next
 				flips++
@@ -123,13 +137,15 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 }
 
 // shardPool schedules the tiles over a fixed set of executor goroutines with
-// the same inline-executor-0 barrier protocol as solverPool, but with four
-// stages per sweep instead of two: compute color 0, exchange halos, compute
-// color 1, exchange halos. Compute stages write only owned cells; exchange
-// stages write only the running tile's own halo and read only neighbors'
-// owned cells — each barrier separates the two access patterns, so the sweep
-// is race-free at any executor count, and because tiles (not cells) are the
-// scheduling unit, bit-identical at any executor count too.
+// the same inline-executor-0 barrier protocol as solverPool. A solve starts
+// with one build stage, in which every tile evaluates its own data-term
+// table, then runs four stages per sweep instead of two: compute color 0,
+// exchange halos, compute color 1, exchange halos. Compute stages write only
+// owned cells; exchange stages write only the running tile's own halo and
+// read only neighbors' owned cells — each barrier separates the two access
+// patterns, so the sweep is race-free at any executor count, and because
+// tiles (not cells) are the scheduling unit, bit-identical at any executor
+// count too.
 type shardPool struct {
 	plan  *shard.Plan
 	tiles []*shardTile
@@ -145,6 +161,10 @@ type shardPool struct {
 	flips  []int
 	edelta []float64
 
+	// prob and pair feed the build stage; set before its barrier.
+	prob *Problem
+	pair []float64
+
 	// hook, when non-nil, runs after each exchange barrier with the color
 	// whose phase just completed — the solver gathers and forwards to
 	// SolveOptions.shardPhaseHook.
@@ -157,6 +177,7 @@ const (
 	stageExchange0
 	stageCompute1
 	stageExchange1
+	stageBuild
 )
 
 func newShardPool(plan *shard.Plan, tiles []*shardTile, grids []*shard.TileGrid, track bool, nexec int) *shardPool {
@@ -208,6 +229,8 @@ func (pool *shardPool) execStage(e, stage int) {
 			}
 		case stageExchange0, stageExchange1:
 			shard.PullHalos(pool.plan, pool.grids, i)
+		case stageBuild:
+			pool.errs[i] = pool.tiles[i].build(pool.prob, pool.pair)
 		}
 	}
 }
@@ -222,6 +245,27 @@ func (pool *shardPool) barrier(stage int) {
 	}
 	pool.execStage(0, stage)
 	pool.phase.Wait()
+}
+
+// build runs the build stage: every tile evaluates p's data term over its
+// extended rectangle on the executor that will sweep it, so the tables build
+// in parallel and land next to the core that reads them. Returns the first
+// tile error in tile order.
+func (pool *shardPool) build(p *Problem, pair []float64) error {
+	pool.prob, pool.pair = p, pair
+	pool.barrier(stageBuild)
+	pool.prob, pool.pair = nil, nil
+	return pool.firstErr()
+}
+
+// firstErr returns the first tile error in tile order, or nil.
+func (pool *shardPool) firstErr() error {
+	for _, err := range pool.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sweep drives the four stages of one sweep and returns the sweep's flip
@@ -246,12 +290,7 @@ func (pool *shardPool) sweep() (int, float64, error) {
 		delta += pool.edelta[i]
 		pool.edelta[i] = 0
 	}
-	for _, err := range pool.errs {
-		if err != nil {
-			return flips, delta, err
-		}
-	}
-	return flips, delta, nil
+	return flips, delta, pool.firstErr()
 }
 
 // stop shuts the executors down and waits for every goroutine to exit.
@@ -296,9 +335,20 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		return SolveCtx(ctx, p, factory(0), sched, o)
 	}
 
-	lab, tab, err := prepare(p, sched, opts)
+	lab, err := initLabels(p, sched, opts)
 	if err != nil {
 		return nil, err
+	}
+	// Only the Pair LUT is shared; each tile builds its own data term below.
+	tab, err := suppliedTables(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	var pair []float64
+	if tab != nil {
+		pair = tab.Pair
+	} else {
+		pair = p.BuildPairLUT().Pair
 	}
 	plan, err := shard.NewPlan(geom, p.W, p.H)
 	if err != nil {
@@ -321,18 +371,9 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 	}
 	tiles := make([]*shardTile, ntiles)
 	for i, t := range plan.Tiles {
-		view, verr := tab.TileView(t.EX0, t.EY0, t.EX1, t.EY1)
-		if verr != nil {
-			return nil, verr
-		}
-		tiles[i] = newShardTile(t, grids[i], view, samplers[i])
+		tiles[i] = newShardTile(t, grids[i], p.Labels, samplers[i])
 	}
 
-	track := opts.OnSweep != nil
-	var energy float64
-	if track {
-		energy = tab.TotalEnergy(lab)
-	}
 	first := 0
 	ti := sched.iter()
 	if st := opts.Resume; st != nil {
@@ -345,7 +386,7 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		if len(st.Halos) != ntiles {
 			return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), ntiles)
 		}
-		// prepare already scattered the snapshot grid into lab (and Scatter
+		// initLabels already copied the snapshot grid into lab (and Scatter
 		// above into the tiles); the halos must come from the snapshot, not
 		// from the neighbors' current labels — they are the state of the last
 		// exchange before capture, which for edge-adjacent cells is the same
@@ -358,13 +399,22 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		}
 		first = st.NextSweep
 		ti = resumeIter(st, sched)
-		if track && st.EnergyTracked {
-			energy = st.Energy
-		}
 	}
 
+	track := opts.OnSweep != nil
 	pool := newShardPool(plan, tiles, grids, track, resolveExecutors(opts.Executors, ntiles))
 	defer pool.stop()
+	if err := pool.build(p, pair); err != nil {
+		return nil, err
+	}
+	var energy float64
+	if st := opts.Resume; track && st != nil && st.EnergyTracked {
+		energy = st.Energy
+	} else if track {
+		// Same terms in the same order as Tables.TotalEnergy over the full
+		// grid, so the tracked energy is bit-identical without that table.
+		energy = p.TotalEnergy(lab)
+	}
 
 	// gather reassembles the global labeling from the tiles' owned rects. It
 	// runs only when an observer needs the full grid (hook, collector,

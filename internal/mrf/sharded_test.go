@@ -345,7 +345,7 @@ func TestResumeShardMismatch(t *testing.T) {
 	}
 	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{
 		CheckpointEvery: 3,
-		OnCheckpoint: func(st *SolverState) error { serialSnap = st; return nil },
+		OnCheckpoint:    func(st *SolverState) error { serialSnap = st; return nil },
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,9 @@ type SolveOptions struct {
 	// Tables, when non-nil, supplies precomputed lookup tables for the
 	// problem (see Problem.BuildTables), letting multi-restart callers
 	// amortize table construction across solves. Must have been built
-	// from the same Problem value passed to the solver.
+	// from the same Problem value passed to the solver. The sharded solver
+	// takes only its Pair LUT: it evaluates each tile's data term into the
+	// tile's own table rather than copying rows out of Singles.
 	Tables *Tables
 	// Collector, when non-nil, observes the labeling after every sweep
 	// (see the Collector interface for the retention and neutrality
@@ -258,21 +260,39 @@ func ResolveWorkers(n int) int {
 // initial labeling, and resolves the lookup tables — the entry sequence
 // shared by Solve and SolveParallel.
 func prepare(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, *Tables, error) {
-	if err := p.Validate(); err != nil {
+	lab, err := initLabels(p, sched, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := sched.Validate(); err != nil {
+	tab, err := suppliedTables(p, opts)
+	if err != nil {
 		return nil, nil, err
+	}
+	if tab == nil {
+		tab = p.BuildTables()
+	}
+	return lab, tab, nil
+}
+
+// initLabels validates the problem and schedule and clones or allocates the
+// initial labeling: the snapshot grid when resuming, else opts.Init, else
+// all zeros.
+func initLabels(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := sched.Validate(); err != nil {
+		return nil, err
 	}
 	lab := opts.Init
 	if st := opts.Resume; st != nil {
 		// A snapshot overrides Init: its grid IS the labeling mid-run.
 		if st.W != p.W || st.H != p.H || st.Labels != p.Labels {
-			return nil, nil, fmt.Errorf("mrf: snapshot shape %dx%d/%d labels does not match problem %dx%d/%d",
+			return nil, fmt.Errorf("mrf: snapshot shape %dx%d/%d labels does not match problem %dx%d/%d",
 				st.W, st.H, st.Labels, p.W, p.H, p.Labels)
 		}
 		if len(st.Grid) != p.W*p.H {
-			return nil, nil, fmt.Errorf("mrf: snapshot grid has %d labels, problem needs %d", len(st.Grid), p.W*p.H)
+			return nil, fmt.Errorf("mrf: snapshot grid has %d labels, problem needs %d", len(st.Grid), p.W*p.H)
 		}
 		lab = img.NewLabels(p.W, p.H)
 		copy(lab.L, st.Grid)
@@ -280,22 +300,25 @@ func prepare(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, *Table
 		lab = img.NewLabels(p.W, p.H)
 	} else {
 		if lab.W != p.W || lab.H != p.H {
-			return nil, nil, fmt.Errorf("mrf: init labeling %dx%d does not match problem %dx%d", lab.W, lab.H, p.W, p.H)
+			return nil, fmt.Errorf("mrf: init labeling %dx%d does not match problem %dx%d", lab.W, lab.H, p.W, p.H)
 		}
 		lab = lab.Clone()
 	}
 	for i, l := range lab.L {
 		if l < 0 || l >= p.Labels {
-			return nil, nil, fmt.Errorf("mrf: init label %d at index %d out of range [0,%d)", l, i, p.Labels)
+			return nil, fmt.Errorf("mrf: init label %d at index %d out of range [0,%d)", l, i, p.Labels)
 		}
 	}
-	tab := opts.Tables
-	if tab == nil {
-		tab = p.BuildTables()
-	} else if tab.p != p {
-		return nil, nil, fmt.Errorf("mrf: SolveOptions.Tables built from a different problem")
+	return lab, nil
+}
+
+// suppliedTables returns opts.Tables after checking it was built from p, or
+// nil when the caller supplied none.
+func suppliedTables(p *Problem, opts SolveOptions) (*Tables, error) {
+	if tab := opts.Tables; tab != nil && tab.p != p {
+		return nil, fmt.Errorf("mrf: SolveOptions.Tables built from a different problem")
 	}
-	return lab, tab, nil
+	return opts.Tables, nil
 }
 
 // emitSweep assembles the sweep's SolveStats and invokes the hook. energy is
@@ -467,11 +490,15 @@ func SolveWithCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, fa
 	return SolveCtx(ctx, p, sampler, sched, opts)
 }
 
-// SolveAuto dispatches between Solve and SolveParallel according to
-// opts.Workers, constructing one independently-seeded sampler per worker
-// through factory (called once for each worker index in [0, workers)).
-// Workers = 1 reproduces Solve with factory(0) exactly; any other value
-// runs the checkerboard-parallel solver.
+// SolveAuto dispatches between Solve, SolveParallel and SolveSharded,
+// constructing one independently-seeded sampler per worker (or tile)
+// through factory (called once for each index in [0, workers) or
+// [0, tiles)). In order: an explicit opts.Shards geometry, or a resume from
+// a multi-tile snapshot, runs the sharded solver; Workers = 0 on a grid of
+// AutoShardPixels pixels or more (and no resume) auto-shards with
+// shard.Auto's geometry; otherwise Workers = 1 reproduces Solve with
+// factory(0) exactly, and any other value runs the checkerboard-parallel
+// solver.
 func SolveAuto(p *Problem, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	return SolveAutoCtx(context.Background(), p, factory, sched, opts)
 }

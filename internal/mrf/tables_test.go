@@ -61,7 +61,7 @@ func TestTablesLabelEnergiesMatchDirect(t *testing.T) {
 		for i := range lab.L {
 			lab.L[i] = (i*7 + 3) % p.Labels
 		}
-		singles := p.singletonTable()
+		singles := p.singletonTable(0, 0, p.W, p.H)
 		direct := make([]float64, p.Labels)
 		fast := make([]float64, p.Labels)
 		for y := 0; y < p.H; y++ {

@@ -8,8 +8,8 @@ import (
 
 func TestParse(t *testing.T) {
 	good := map[string]Geometry{
-		"1x1": {1, 1},
-		"2x3": {2, 3},
+		"1x1":   {1, 1},
+		"2x3":   {2, 3},
 		"16x16": {16, 16},
 	}
 	for s, want := range good {
@@ -41,8 +41,8 @@ func TestValidate(t *testing.T) {
 		{Geometry{1, 1}, 1, 1, true},
 		{Geometry{2, 2}, 2, 2, true},
 		{Geometry{2, 3}, 10, 7, true},
-		{Geometry{3, 1}, 5, 2, false},  // more tile rows than grid rows
-		{Geometry{1, 6}, 5, 5, false},  // more tile cols than grid cols
+		{Geometry{3, 1}, 5, 2, false}, // more tile rows than grid rows
+		{Geometry{1, 6}, 5, 5, false}, // more tile cols than grid cols
 		{Geometry{0, 1}, 5, 5, false},
 		{Geometry{1, 0}, 5, 5, false},
 		{Geometry{-1, 2}, 5, 5, false},
