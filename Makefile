@@ -77,11 +77,14 @@ cover:
 	{ echo "internal/uq coverage $$pct% is below the $(UQ_COVER_MIN)% floor"; exit 1; }
 
 # Native Go fuzzing of the sampling pipeline, the lambda converter, the
-# checkpoint snapshot decoder (truncation, bit flips, version skew), and the
-# shard-plan geometry (exclusive full-grid tile coverage under arbitrary
-# dimensions). FUZZTIME sets the budget per target (default 30s above).
+# cut-off-pruned sampler against the full-vector kernel (label, counters and
+# RNG position bit-exact), the checkpoint snapshot decoder (truncation, bit
+# flips, version skew), and the shard-plan geometry (exclusive full-grid tile
+# coverage under arbitrary dimensions). FUZZTIME sets the budget per target
+# (default 30s above).
 fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzUnitSample -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSampleCutoffExact -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLambdaCode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzShardGeometry -fuzztime $(FUZZTIME)

@@ -66,6 +66,20 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
+// raiseGOMAXPROCS lifts GOMAXPROCS to at least n so the parallel arms of
+// the suites have goroutines to run on. Past the machine's CPU count the
+// extra threads time-share cores, which the numbers then reflect, so that
+// case is reported on stderr (the reports also record both counts).
+func raiseGOMAXPROCS(n int) {
+	if runtime.GOMAXPROCS(0) >= n {
+		return
+	}
+	runtime.GOMAXPROCS(n)
+	if cpus := runtime.NumCPU(); n > cpus {
+		fmt.Fprintf(os.Stderr, "rsu-bench: note: GOMAXPROCS raised to %d on %d CPU(s); parallel arms time-share cores\n", n, cpus)
+	}
+}
+
 // runPerf executes the before/after performance suite and writes the
 // machine-readable report. The suite compares the seed implementation
 // (serial solver, per-call energy evaluation, legacy sampling kernels)
@@ -79,9 +93,7 @@ func runPerf(path string, workers int) error {
 		return err
 	}
 	_ = probe.Close()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
+	raiseGOMAXPROCS(4)
 	rep := benchkit.Run(workers)
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -106,9 +118,7 @@ func runShardSweep(path string, workers int) error {
 		return err
 	}
 	_ = probe.Close()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
+	raiseGOMAXPROCS(4)
 	rep := benchkit.ShardSweep(workers)
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -137,9 +147,7 @@ func runPerfCheck(baselinePath, reportPath string, tolerance, injectSlowdown flo
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
 	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
+	raiseGOMAXPROCS(4)
 	current := benchkit.Run(workers)
 	if injectSlowdown > 1 {
 		fmt.Printf("self-test: injecting a %.2gx slowdown into the current report\n", injectSlowdown)

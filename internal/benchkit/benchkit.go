@@ -33,8 +33,13 @@ type Result struct {
 
 // Report is the full suite output.
 type Report struct {
-	Schema     string   `json:"schema"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
+	Schema     string `json:"schema"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// NumCPU is the machine's logical CPU count. It can sit below
+	// GOMAXPROCS (rsu-bench raises GOMAXPROCS to 4), and a report from
+	// oversubscribed cores reads differently. Reports written before it
+	// existed decode it as 0.
+	NumCPU     int      `json:"num_cpu"`
 	Workers    int      `json:"workers"`
 	Benchmarks []Result `json:"benchmarks"`
 }
@@ -328,7 +333,7 @@ func scheduleTemperaturePair() Result {
 // gains on the Unit.Sample and LabelEnergies micro-benchmarks.
 func Run(workers int) Report {
 	w := mrf.ResolveWorkers(workers)
-	rep := Report{Schema: Schema, GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: w}
+	rep := Report{Schema: Schema, GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Workers: w}
 	rep.Benchmarks = []Result{
 		unitSamplePair("unit-sample-new8", core.NewRSUG(), 8),
 		unitSamplePair("unit-sample-new56", core.NewRSUG(), 56),
@@ -345,7 +350,7 @@ func Run(workers int) Report {
 
 // String renders the report as an aligned table.
 func (r Report) String() string {
-	s := fmt.Sprintf("%s (GOMAXPROCS %d, workers %d)\n", r.Schema, r.GOMAXPROCS, r.Workers)
+	s := fmt.Sprintf("%s (GOMAXPROCS %d, NumCPU %d, workers %d)\n", r.Schema, r.GOMAXPROCS, r.NumCPU, r.Workers)
 	s += fmt.Sprintf("%-28s %14s %14s %9s\n", "benchmark", "before ns/op", "after ns/op", "speedup")
 	for _, b := range r.Benchmarks {
 		s += fmt.Sprintf("%-28s %14.1f %14.1f %8.2fx\n", b.Name, b.NsOpBefore, b.NsOpAfter, b.Speedup)

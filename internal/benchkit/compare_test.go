@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -133,5 +134,28 @@ func TestMicroSetMatchesSuite(t *testing.T) {
 	}
 	if _, err := Compare(rep, rep, MicroSet(), 0); err != nil {
 		t.Fatalf("MicroSet names out of sync with the suite: %v", err)
+	}
+}
+
+// TestReportRecordsNumCPU: a report names the machine's CPU count next to
+// GOMAXPROCS, and a report written before the field existed still decodes.
+func TestReportRecordsNumCPU(t *testing.T) {
+	rep := Report{Schema: Schema, GOMAXPROCS: 4, NumCPU: 2, Workers: 4}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"gomaxprocs":4,"num_cpu":2`) {
+		t.Fatalf("report JSON %s lacks num_cpu next to gomaxprocs", data)
+	}
+	if !strings.Contains(rep.String(), "GOMAXPROCS 4, NumCPU 2") {
+		t.Fatalf("report header %q lacks NumCPU", rep.String())
+	}
+	var old Report
+	if err := json.Unmarshal([]byte(`{"schema":"x","gomaxprocs":4,"workers":4,"benchmarks":[]}`), &old); err != nil {
+		t.Fatalf("decoding a report without num_cpu: %v", err)
+	}
+	if old.NumCPU != 0 || old.GOMAXPROCS != 4 {
+		t.Fatalf("old report decoded as %+v", old)
 	}
 }

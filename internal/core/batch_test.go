@@ -154,18 +154,37 @@ func TestAsBatchPassthrough(t *testing.T) {
 }
 
 // TestSampleBatchSteadyStateAllocs pins the zero-alloc contract: after the
-// first call sizes the scratch, batched sampling never allocates.
+// first call sizes the scratch, batched sampling never allocates. The unit
+// cases cover the cut-off-pruned kernel with most labels cut off, with none
+// cut off, with a shared converter cache and with a fault injector, plus the
+// full-vector kernel.
 func TestSampleBatchSteadyStateAllocs(t *testing.T) {
 	const n, stride = 32, 8
 	energies, currents := batchBlock(n, stride)
-	out := make([]int, n)
-	samplers := map[string]BatchSampler{
-		"unit":     MustUnit(NewRSUG(), rng.NewXoshiro256(5), true),
-		"software": NewSoftwareSampler(rng.NewXoshiro256(5)),
+	for i := range energies {
+		energies[i] *= 40 // spread past the cut-off at low temperature
 	}
-	for name, s := range samplers {
+	out := make([]int, n)
+	cached := MustUnit(NewRSUG(), rng.NewXoshiro256(5), true)
+	cached.SetConverterCache(NewConverterCache(0))
+	faulty := MustUnit(NewRSUG(), rng.NewXoshiro256(5), true)
+	faulty.SetFaultInjector(testFault{rng.NewXoshiro256(6)})
+	samplers := map[string]struct {
+		s BatchSampler
+		T float64
+	}{
+		"unit":             {MustUnit(NewRSUG(), rng.NewXoshiro256(5), true), 3},
+		"unit-cutoff":      {MustUnit(NewRSUG(), rng.NewXoshiro256(5), true), 0.2},
+		"unit-no-cutoff":   {MustUnit(NewRSUG(), rng.NewXoshiro256(5), true), 1e6},
+		"unit-cached":      {cached, 0.5},
+		"unit-fault":       {faulty, 0.5},
+		"unit-full-vector": {MustUnit(NewRSUG(), rng.NewXoshiro256(5), false), 3},
+		"software":         {NewSoftwareSampler(rng.NewXoshiro256(5)), 3},
+	}
+	for name, tc := range samplers {
+		s := tc.s
 		t.Run(name, func(t *testing.T) {
-			MustSetTemperature(s, 3)
+			MustSetTemperature(s, tc.T)
 			if err := s.SampleBatch(energies, stride, currents, out); err != nil {
 				t.Fatalf("warm-up SampleBatch: %v", err)
 			}

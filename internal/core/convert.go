@@ -73,10 +73,18 @@ type Converter interface {
 }
 
 // LUTConverter is the previous design's table: one precomputed decay-rate
-// code per energy code.
+// code per energy code. It also records where the probability cut-off
+// silences the table: a label whose scaled energy code reaches cut has decay
+// rate 0, can never fire and draws nothing, so the sampler skips it without
+// encoding or converting it (Unit.samplePruned).
 type LUTConverter struct {
 	table []int
 	width int // lambda code width in bits, for MemoryBits
+	// cut is the first energy code from which every entry is 0 (the
+	// probability cut-off in energy-code units), or len(table) when the
+	// last entry is non-zero: no cut-off mode, or a temperature high
+	// enough that every label stays alive.
+	cut int
 }
 
 // NewLUTConverter builds the table for configuration c at temperature T.
@@ -87,6 +95,10 @@ func NewLUTConverter(c Config, T float64) *LUTConverter {
 	t := &LUTConverter{table: make([]int, n), width: c.LambdaBits}
 	for ecode := 0; ecode < n; ecode++ {
 		t.table[ecode] = c.lambdaCodeFloat(float64(ecode)*step, T)
+	}
+	t.cut = n
+	for t.cut > 0 && t.table[t.cut-1] == 0 {
+		t.cut--
 	}
 	return t
 }

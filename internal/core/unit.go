@@ -99,8 +99,10 @@ type Unit struct {
 	guide [][]uint32
 	// lutTable aliases the LUT converter's table when that realization is
 	// active, letting the fast path index it directly instead of going
-	// through the Converter interface per label.
+	// through the Converter interface per label; lutCut is its cut-off
+	// (LUTConverter.cut).
 	lutTable []int
+	lutCut   int
 	// convCache, when non-nil, memoizes converter construction per
 	// (config, realization, temperature) so units at the same design point
 	// share read-only conversion tables instead of rebuilding them on every
@@ -119,6 +121,7 @@ type Unit struct {
 	ecodeBuf []int
 	rateBuf  []float64
 	binBuf   []int
+	idxBuf   []int // label indices: kept, then fired, labels of a race
 }
 
 // NewUnit builds a Unit for configuration cfg driven by src. useLUT selects
@@ -196,21 +199,17 @@ func (u *Unit) SetTemperature(T float64) error {
 	}
 	u.T = T
 	if u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
-		if u.convCache != nil {
-			conv := u.convCache.Get(u.cfg, u.useLUT, T)
-			u.conv = conv
-			if lut, ok := conv.(*LUTConverter); ok {
-				u.lutTable = lut.table
-			} else {
-				u.lutTable = nil
-			}
-		} else if u.useLUT {
-			lut := NewLUTConverter(u.cfg, T)
-			u.conv = lut
-			u.lutTable = lut.table
-		} else {
+		switch {
+		case u.convCache != nil:
+			u.conv = u.convCache.Get(u.cfg, u.useLUT, T)
+		case u.useLUT:
+			u.conv = NewLUTConverter(u.cfg, T)
+		default:
 			u.conv = NewBoundaryConverter(u.cfg, T)
-			u.lutTable = nil
+		}
+		u.lutTable, u.lutCut = nil, 0
+		if lut, ok := u.conv.(*LUTConverter); ok {
+			u.lutTable, u.lutCut = lut.table, lut.cut
 		}
 	}
 	return nil
@@ -303,6 +302,7 @@ func (u *Unit) ensureScratch(m int) {
 		u.ecodeBuf = make([]int, m)
 		u.rateBuf = make([]float64, m)
 		u.binBuf = make([]int, m)
+		u.idxBuf = make([]int, m)
 	}
 }
 
@@ -310,7 +310,9 @@ func (u *Unit) ensureScratch(m int) {
 // scratch buffers must already cover len(energies) (ensureScratch). The RNG
 // draw sequence is the conformance-pinned order: one TTF draw per
 // positive-rate label in label order, then any tie-break draws inside the
-// selection stage — every kernel below preserves it.
+// selection stage — every kernel below preserves it. Cut-off labels (decay
+// rate 0) draw nothing, which is what lets the ideal device's kernel skip
+// them without moving the stream (samplePruned).
 func (u *Unit) sampleOne(energies []float64, current int) int {
 	m := len(energies)
 	u.stats.Evaluations++
@@ -471,6 +473,10 @@ func (u *Unit) sampleQuantized(energies []float64, current int) int {
 		return u.sampleContinuousRates(rates, current)
 	}
 
+	if binned && lt != nil && u.srcX != nil {
+		return u.samplePruned(energies, current)
+	}
+
 	// Scaling pass: encode every label and track the minimum code.
 	ecodes := u.ecodeBuf[:m]
 	min := maxCode
@@ -482,69 +488,18 @@ func (u *Unit) sampleQuantized(energies []float64, current int) int {
 		}
 	}
 
-	// Fused convert+draw pass over the scaled codes. Direct LUT indexing
-	// is safe: Encode keeps codes in [0, len(lt)-1] and the min-subtraction
-	// only lowers them, so no clamp or interface call is needed per label.
+	// Convert+draw pass over the scaled codes, one draw per positive-rate
+	// label in label order.
 	if binned {
 		bins := u.binBuf[:m]
-		if lt != nil && u.srcX != nil {
-			// Fully specialized stereo hot path: LUT conversion plus the
-			// binned draw inlined with a devirtualized xoshiro source. The
-			// draw body replicates drawBinCode statement for statement
-			// (same uniform construction, same guided scan), so the RNG
-			// stream and the emitted bins are bit-identical; codes outside
-			// the pre-built survival cache fall back to drawBinCode.
-			x := u.srcX
-			surv, guide := u.surv, u.guide
-			for i, ec := range ecodes {
-				c := lt[ec-min]
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				if c >= len(surv) || surv[c] == nil {
-					bins[i] = u.drawBinCode(c)
-					continue
-				}
-				s, g := surv[c], guide[c]
-				var v float64
-				for {
-					v = float64(x.Uint64()>>11) / (1 << 53)
-					if v > 0 {
-						break
-					}
-				}
-				b := int(g[int(v*(1<<guideBits))])
-				for b < len(s) && v < s[b] {
-					b++
-				}
-				if b == len(s) {
-					u.stats.Truncated++
-					b = 0
-				}
-				bins[i] = b
+		for i, ec := range ecodes {
+			c := u.conv.Code(ec - min)
+			if c == 0 {
+				u.stats.Cutoffs++
+				bins[i] = 0
+				continue
 			}
-		} else if lt != nil {
-			for i, ec := range ecodes {
-				c := lt[ec-min]
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				bins[i] = u.drawBinCode(c)
-			}
-		} else {
-			for i, ec := range ecodes {
-				c := u.conv.Code(ec - min)
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				bins[i] = u.drawBinCode(c)
-			}
+			bins[i] = u.drawBinCode(c)
 		}
 		return u.selectBin(bins, current)
 	}
@@ -567,6 +522,106 @@ func (u *Unit) sampleQuantized(energies []float64, current int) int {
 		}
 	}
 	return u.sampleContinuousRates(rates, current)
+}
+
+// samplePruned is the scaling, binned-time kernel for a LUT converter and a
+// xoshiro source, the path every "new" sampler runs. It computes what the
+// full-vector pipeline computes — encode every label, subtract the minimum
+// code, convert, draw, race — but touches only the labels the probability
+// cut-off leaves alive. The LUT holds decay
+// rate 0 from energy-code difference lutCut on, so a label with code
+// ec >= ecmin+lutCut can never fire and, as in the full pipeline, draws
+// nothing; at low temperature that is most labels (DESIGN.md §11, "Cut-off
+// pruning").
+//
+//   - Filter and encode: one pass keeps label i unless e*scale >= K, with
+//     K = min+lutCut from the minimum code min of the labels kept so far,
+//     and encodes only the kept labels. encodeEnergy is monotone, so for
+//     K <= maxCode, e*scale >= K implies a code >= K (RoundPos adds 0.5 to
+//     a value already >= K; e >= EnergyMax encodes to maxCode >= K). The
+//     running minimum only falls, so every rejected label is cut off under
+//     the final minimum too; a rejected label's code exceeds the running
+//     minimum, so the final minimum is taken over kept labels only. NaN
+//     compares false, so it is kept and its code 0 lowers the minimum as
+//     in the full pipeline.
+//   - Draw and race: draw the survivors' TTF bins in label order — the
+//     full pipeline's draw sequence, since cut-off labels draw nothing —
+//     and race the labels that fired; tie-break draws follow every TTF draw.
+//     With a fault injector the bins are scattered back into a full
+//     vector, which selectBin perturbs and races.
+func (u *Unit) samplePruned(energies []float64, current int) int {
+	m := len(energies)
+	scale, emax, maxCode := u.escale, u.cfg.EnergyMax, u.emaxCode
+	lt, cut := u.lutTable, u.lutCut
+
+	kept, ecodes := u.idxBuf[:m], u.ecodeBuf[:m]
+	n := 0
+	min := maxCode
+	// thr starts as NaN, which no e*scale (not even +Inf) compares >= to;
+	// it stays NaN while K > maxCode, since then no code reaches K.
+	thr := math.NaN()
+	for i, e := range energies {
+		if e*scale >= thr {
+			continue
+		}
+		ec := encodeEnergy(e, scale, emax, maxCode)
+		kept[n], ecodes[n] = i, ec
+		n++
+		if ec < min {
+			min = ec
+			if k := ec + cut; k <= maxCode {
+				thr = float64(k)
+			}
+		}
+	}
+	kept, ecodes = kept[:n], ecodes[:n]
+
+	// Convert and draw. The fired labels are compacted into kept in place
+	// (fired <= j, so no unread entry is overwritten). The draw body is
+	// drawBinCode inlined on the concrete xoshiro source — same uniform,
+	// same guided scan — and NewUnit pre-builds the survival table of every
+	// code the LUT can emit.
+	x := u.srcX
+	surv, guide := u.surv, u.guide
+	bins := u.binBuf[:n]
+	live, fired := 0, 0
+	for j, i := range kept {
+		c := lt[ecodes[j]-min]
+		if c == 0 {
+			continue
+		}
+		live++
+		s, g := surv[c], guide[c]
+		var v float64
+		for {
+			v = float64(x.Uint64()>>11) / (1 << 53)
+			if v > 0 {
+				break
+			}
+		}
+		b := int(g[int(v*(1<<guideBits))])
+		for b < len(s) && v < s[b] {
+			b++
+		}
+		if b == len(s) {
+			u.stats.Truncated++
+			continue
+		}
+		kept[fired], bins[fired] = i, b
+		fired++
+	}
+	u.stats.Cutoffs += m - live
+	if u.fault != nil {
+		// The fault hook perturbs every label's bin, cut-off labels'
+		// included (a dark count can fire one), so it gets the full vector.
+		full := u.ecodeBuf[:m]
+		clear(full)
+		for k, i := range kept[:fired] {
+			full[i] = bins[k]
+		}
+		return u.selectBin(full, current)
+	}
+	return u.race(kept[:fired], bins[:fired], current)
 }
 
 func (u *Unit) sampleContinuousFloat(eff []float64, current int) int {
@@ -764,59 +819,58 @@ func (u *Unit) drawBinCode(code int) int {
 	return b
 }
 
-// selectBin implements the selection stage: smallest bin wins; bin 0 means
-// "did not fire". Ties follow the configured policy. Every binned sampling
-// kernel (fast and legacy) funnels through here, so the fault hook sees each
-// evaluation exactly once regardless of kernel selection.
+// selectBin implements the selection stage of the full-vector kernels:
+// bins holds one entry per label, bin 0 meaning "did not fire". The fault
+// hook sees each evaluation's bins exactly once, before the race; the fired
+// labels are then compacted (overwriting bins) and raced.
 func (u *Unit) selectBin(bins []int, current int) int {
 	if u.fault != nil {
 		u.fault.PerturbBins(bins, u.tmax)
 	}
+	idx := u.idxBuf[:len(bins)]
+	n := 0
+	for i, b := range bins {
+		if b != 0 {
+			idx[n], bins[n] = i, b
+			n++
+		}
+	}
+	return u.race(idx[:n], bins[:n], current)
+}
+
+// race is first-to-fire over the labels that fired, in label order:
+// labels[k] fired in bin bins[k] (> 0). The smallest bin wins; ties follow
+// the configured policy, TieRandom by reservoir sampling with one draw per
+// extra tied label. With no label fired the variable keeps current.
+func (u *Unit) race(labels, bins []int, current int) int {
 	best := -1
 	bestBin := math.MaxInt
 	tied := 1
 	sawTie := false
-	if u.cfg.Tie == TieRandom && u.srcX != nil {
-		// Devirtualized variant of the loop below: reservoir tie-breaks are
-		// frequent early in an annealing schedule (coarse bins collide), so
-		// the tie draw inlines rng.Intn's widening-multiply construction on
-		// the concrete xoshiro source — same draw, same stream.
-		x := u.srcX
-		for i, b := range bins {
-			if b == 0 {
+	random := u.cfg.Tie == TieRandom
+	x := u.srcX
+	for k, b := range bins {
+		switch {
+		case b < bestBin:
+			bestBin = b
+			best = labels[k]
+			tied = 1
+		case b == bestBin:
+			sawTie = true
+			if !random {
 				continue
 			}
-			switch {
-			case b < bestBin:
-				bestBin = b
-				best = i
-				tied = 1
-			case b == bestBin:
-				sawTie = true
-				tied++
-				if int((x.Uint64()>>33)*uint64(tied)>>31) == 0 {
-					best = i
-				}
+			tied++
+			// rng.Intn's widening multiply, devirtualized on the concrete
+			// xoshiro source when there is one: same draw, same stream.
+			var r int
+			if x != nil {
+				r = int((x.Uint64() >> 33) * uint64(tied) >> 31)
+			} else {
+				r = rng.Intn(u.src, tied)
 			}
-		}
-	} else {
-		for i, b := range bins {
-			if b == 0 {
-				continue
-			}
-			switch {
-			case b < bestBin:
-				bestBin = b
-				best = i
-				tied = 1
-			case b == bestBin:
-				sawTie = true
-				if u.cfg.Tie == TieRandom {
-					tied++
-					if rng.Intn(u.src, tied) == 0 {
-						best = i
-					}
-				}
+			if r == 0 {
+				best = labels[k]
 			}
 		}
 	}

@@ -72,6 +72,10 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown sampler", JobSpec{App: AppStereo, Sampler: "quantum"}, false},
 		{"negative iterations", JobSpec{App: AppFlow, Iterations: -1}, false},
 		{"scale too large", JobSpec{App: AppStereo, Scale: 99}, false},
+		{"workers at limit", JobSpec{App: AppStereo, Workers: MaxJobWorkers}, true},
+		{"workers over limit", JobSpec{App: AppStereo, Workers: MaxJobWorkers + 1}, false},
+		{"huge workers", JobSpec{App: AppStereo, Workers: 20000, Iterations: 1}, false},
+		{"negative workers", JobSpec{App: AppStereo, Workers: -1}, false},
 		{"segment count out of range", JobSpec{App: AppSegment, Segments: 1}, false},
 		{"ising lattice too small", JobSpec{App: AppIsing, N: 2}, false},
 		{"negative timeout", JobSpec{App: AppStereo, TimeoutMS: -5}, false},
@@ -331,6 +335,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if code, body, _ := post(`{"app":"stereo","bogus_field":1}`); code != 400 {
 		t.Fatalf("unknown field: status %d body %s", code, body)
+	}
+	if code, body, _ := post(`{"app":"stereo","workers":20000,"iterations":1}`); code != 400 ||
+		!strings.Contains(body, "workers 20000 exceeds the serving limit 64") {
+		t.Fatalf("oversized workers: status %d body %s, want 400 naming the limit", code, body)
 	}
 
 	get := func(path string) (int, string) {

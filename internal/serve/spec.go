@@ -29,6 +29,13 @@ const (
 	AppIsing   = "ising"
 )
 
+// MaxJobWorkers caps JobSpec.Workers. A job's solver allocates one sampler
+// with its conversion and survival tables per worker, so an uncapped count
+// lets one request allocate without bound (a 20000-worker stereo job
+// allocated 278 MB for one sweep). 64 is far above the parallelism a
+// serving host gives one job.
+const MaxJobWorkers = 64
+
 // Apps lists every accepted app name.
 func Apps() []string { return []string{AppStereo, AppFlow, AppSegment, AppIsing} }
 
@@ -51,7 +58,9 @@ type JobSpec struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Workers is the per-job checkerboard-solver worker count. 0 keeps the
 	// service default (Config.SolverWorkers); the service serves many jobs
-	// concurrently, so per-job parallelism defaults low.
+	// concurrently, so per-job parallelism defaults low. Values above
+	// MaxJobWorkers are rejected: each worker owns a sampler and its
+	// tables, so the count sets the job's memory.
 	Workers int `json:"workers,omitempty"`
 	// Shards, when non-empty, is an "RxC" tile geometry (e.g. "2x2"): the job
 	// runs on the domain-decomposed sharded solver with one RNG stream per
@@ -166,6 +175,9 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Scale > 8 {
 		return fmt.Errorf("serve: scale %d exceeds the serving limit 8", s.Scale)
+	}
+	if s.Workers > MaxJobWorkers {
+		return fmt.Errorf("serve: workers %d exceeds the serving limit %d", s.Workers, MaxJobWorkers)
 	}
 	if s.Shards != "" {
 		if _, err := shard.Parse(s.Shards); err != nil {
